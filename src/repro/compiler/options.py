@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..errors import InvalidConfigError
 
@@ -169,8 +169,20 @@ class OptConfig:
         return ", ".join(n for n in OPT_NAMES if n in self.enabled_names())
 
     def key(self) -> str:
-        """Stable machine key used in dataset storage."""
-        return "+".join(sorted(self.enabled_names())) or "baseline"
+        """Stable machine key used in dataset storage.
+
+        Read from a module-level table over the 96 configurations (not
+        cached on the instance, so the dataclass's fields, equality and
+        pickled bytes stay as they are).
+        """
+        try:
+            return _KEYS[self]
+        except KeyError:  # field values outside the validated space
+            return _key_of(self)
+
+
+def _key_of(config: OptConfig) -> str:
+    return "+".join(sorted(config.enabled_names())) or "baseline"
 
 
 BASELINE = OptConfig()
@@ -195,6 +207,10 @@ def enumerate_configs(include_baseline: bool = True) -> List[OptConfig]:
     if not include_baseline:
         configs = [c for c in configs if not c.is_baseline]
     return configs
+
+
+#: ``OptConfig.key()`` of every configuration of the space.
+_KEYS: Dict[OptConfig, str] = {c: _key_of(c) for c in enumerate_configs()}
 
 
 def disable_opt(config: OptConfig, name: str) -> OptConfig:

@@ -74,7 +74,7 @@ from .portability import (
     performance_envelope,
     top_speedup_opts,
 )
-from .significance import classify_outcome, significant_difference, welch_interval
+from .significance import classify_outcome, significant_difference, welch_tail
 from .stats import (
     MWUResult,
     cl_effect_size,
@@ -85,7 +85,7 @@ from .stats import (
     rankdata,
     speedup_ratio,
     t_cdf,
-    t_ppf,
+    t_tail,
 )
 from .strategies import (
     STRATEGY_DIMS,
@@ -152,7 +152,7 @@ __all__ = [
     "top_speedup_opts",
     "classify_outcome",
     "significant_difference",
-    "welch_interval",
+    "welch_tail",
     "MWUResult",
     "cl_effect_size",
     "cl_from_u",
@@ -162,7 +162,7 @@ __all__ = [
     "rankdata",
     "speedup_ratio",
     "t_cdf",
-    "t_ppf",
+    "t_tail",
     "Strategy",
     "STRATEGY_ORDER",
     "STRATEGY_DIMS",

@@ -25,11 +25,14 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compiler.options import OPT_NAMES, OptConfig, configs_with, disable_opt
 from ..errors import InsufficientDataError
 from ..obs import get_recorder
 from ..study.dataset import PerfDataset, TestCase
-from .significance import significant_difference
+from ..study.tensor import MeasurementTensor
+from .significance import welch_tail
 from .stats.effect import cl_effect_size
 from .stats.mwu import mann_whitney_u
 from .stats.summary import median
@@ -60,8 +63,72 @@ class OptDecision:
         return "+" if self.enabled else "-"
 
 
+class _FilterTable:
+    """Every mirror pair of a dataset through the Welch filter, at once.
+
+    Columns are Algorithm 1's mirror pairs — for each optimisation in
+    ``OPT_NAMES`` order, every configuration with it enabled (in
+    ``configs_with`` order) against its mirror — and rows are the
+    tensor's tests.  The filter runs as one numpy pass per
+    ``(n_on, n_off)`` repetition-count group, so every reduction sees
+    exactly-sized rows; ``ratio`` holds the normalised runtime of each
+    significant pair, NaN elsewhere.
+    """
+
+    def __init__(self, tensor: MeasurementTensor, confidence: float) -> None:
+        self.columns: Dict[str, slice] = {}
+        on_ids: List[int] = []
+        off_ids: List[int] = []
+        for opt in OPT_NAMES:
+            start = len(on_ids)
+            for cfg in configs_with(opt):
+                on_ids.append(_id_or_absent(tensor, cfg))
+                off_ids.append(_id_or_absent(tensor, disable_opt(cfg, opt)))
+            self.columns[opt] = slice(start, len(on_ids))
+        on, off = np.array(on_ids), np.array(off_ids)
+        # A configuration the dataset never measured maps to an extra,
+        # all-absent column past the tensor's last one.
+        counts = _pad(tensor.counts, 0)
+        n_on, n_off = counts[:, on], counts[:, off]
+        self.present = (n_on > 0) & (n_off > 0)
+        self.welch = (n_on >= 2) & (n_off >= 2)
+        tail = np.full(self.present.shape, np.nan)
+        sizes = np.stack([n_on[self.welch], n_off[self.welch]])
+        for na, nb in np.unique(sizes, axis=1).T:
+            rows, cols = np.nonzero(self.welch & (n_on == na) & (n_off == nb))
+            tail[rows, cols] = welch_tail(
+                tensor.times[rows, on[cols], :na],
+                tensor.times[rows, off[cols], :nb],
+            )
+        level = 1.0 - confidence
+        self.significant = tail < level
+        medians = _pad(tensor.medians, np.nan)
+        self.ratio = np.where(
+            self.significant, medians[:, on] / medians[:, off], np.nan
+        )
+        #: Smallest relative distance of any pair's p-value from the
+        #: decision level (None without Welch-testable pairs): how far
+        #: a numerics change must move to flip a decision.
+        margins = np.abs(tail[self.welch] - level) / level
+        margins = margins[~np.isnan(margins)]
+        self.min_margin = float(margins.min()) if margins.size else None
+        #: Pairs already counted by the filter counters.
+        self.used = np.zeros(self.present.shape, dtype=bool)
+
+
+def _id_or_absent(tensor: MeasurementTensor, config: OptConfig) -> int:
+    cid = tensor.config_id(config)
+    return len(tensor.configs) if cid is None else cid
+
+
+def _pad(matrix: np.ndarray, fill) -> np.ndarray:
+    """``matrix`` with one extra column of ``fill`` (the absent config)."""
+    column = np.full((matrix.shape[0], 1), fill, dtype=matrix.dtype)
+    return np.concatenate([matrix, column], axis=1)
+
+
 class Analysis:
-    """Algorithm 1 over a dataset, with memoised comparisons."""
+    """Algorithm 1 over a dataset, with every comparison filtered once."""
 
     def __init__(
         self,
@@ -78,7 +145,9 @@ class Analysis:
         #: Cell coverage of the analysed dataset; attached to derived
         #: strategies so reports can footnote degraded runs.
         self.coverage = dataset.coverage()
-        self._sig_cache: Dict[Tuple[TestCase, str, str], Optional[float]] = {}
+        # Built on first use (inside the first ``specialise``), so the
+        # filter's cost lands on the level that needs it.
+        self._table: Optional[_FilterTable] = None
         # None defers to the process-wide current recorder at call time,
         # so ``with obs.recording(rec):`` captures analyses transparently.
         self._recorder = recorder
@@ -88,42 +157,51 @@ class Analysis:
 
     # -- the inner comparison (lines 11-16) -----------------------------
 
-    def _normalised_ratio(
-        self, test: TestCase, enabled_cfg: OptConfig, disabled_cfg: OptConfig
-    ) -> Optional[float]:
-        """Significant normalised runtime for one test, else None."""
-        key = (test, enabled_cfg.key(), disabled_cfg.key())
-        if key not in self._sig_cache:
-            times_on = self.dataset.times(test, enabled_cfg)
-            times_off = self.dataset.times(test, disabled_cfg)
-            if significant_difference(times_on, times_off, self.confidence):
-                ratio = median(times_on) / median(times_off)
-                self._rec().count("analysis.filter.significant")
-            else:
-                ratio = None
-                self._rec().count("analysis.filter.insignificant")
-            self._sig_cache[key] = ratio
-        return self._sig_cache[key]
+    def _filter(self) -> _FilterTable:
+        if self._table is None:
+            self._table = _FilterTable(self.dataset.tensor(), self.confidence)
+            margin = self._table.min_margin
+            if margin is not None:
+                _record_min(self._rec(), "analysis.filter.min_margin", margin)
+        return self._table
 
     def comparison_lists(
         self, tests: Sequence[TestCase], opt: str
     ) -> Tuple[List[float], List[float]]:
-        """Algorithm 1's A and B lists for one optimisation."""
-        a: List[float] = []
-        for cfg in configs_with(opt):
-            mirror = disable_opt(cfg, opt)
-            for test in tests:
-                if not (
-                    self.dataset.has(test, cfg) and self.dataset.has(test, mirror)
-                ):
-                    # Degraded dataset: one side of the mirror pair was
-                    # never measured (or was quarantined), so the pair
-                    # contributes no sample rather than crashing.
-                    self._rec().count("analysis.pairs.missing")
-                    continue
-                ratio = self._normalised_ratio(test, cfg, mirror)
-                if ratio is not None:
-                    a.append(ratio)
+        """Algorithm 1's A and B lists for one optimisation.
+
+        A gathers the significant normalised runtimes
+        ``median(enabled) / median(disabled)``, configuration-major in
+        ``configs_with(opt)`` order and then in ``tests`` order.  A pair
+        with a side never measured (or quarantined) contributes no
+        sample and counts ``analysis.pairs.missing``; the filter
+        counters count each pair once, on its first use.
+        """
+        table = self._filter()
+        cols = table.columns[opt]
+        index = self.dataset.tensor().test_index
+        known = [index[t] for t in tests if t in index]
+        rows = np.array(known, dtype=np.intp)
+        present = table.present[rows, cols]
+        rec = self._rec()
+        missing = (len(tests) - len(known)) * (cols.stop - cols.start)
+        missing += int(present.size - np.count_nonzero(present))
+        _count_nonzero(rec, "analysis.pairs.missing", missing)
+        first = np.array(list(dict.fromkeys(known)), dtype=np.intp)
+        fresh = table.present[first, cols] & ~table.used[first, cols]
+        if fresh.any():
+            table.used[first, cols] |= fresh
+            n_sig = int(np.count_nonzero(fresh & table.significant[first, cols]))
+            n_welch = int(np.count_nonzero(fresh & table.welch[first, cols]))
+            n_fresh = int(np.count_nonzero(fresh))
+            _count_nonzero(rec, "analysis.filter.significant", n_sig)
+            _count_nonzero(rec, "analysis.filter.insignificant", n_fresh - n_sig)
+            # As the scalar filter did, via the current recorder.
+            current = get_recorder()
+            _count_nonzero(current, "analysis.welch_intervals", n_welch)
+            _count_nonzero(current, "analysis.pairs.single_sample", n_fresh - n_welch)
+        mask = (present & table.significant[rows, cols]).T
+        a = table.ratio[rows, cols].T[mask].tolist()
         return a, [1.0] * len(a)
 
     # -- ENABLE_OPT (lines 20-22) ----------------------------------------
@@ -259,8 +337,9 @@ class Analysis:
         The yielded callable closes the bookkeeping: called with the
         partition count, it attaches the number of MWU tests run and
         comparisons filtered *at this specialisation level* (deltas of
-        the analysis counters, so memoised comparisons from earlier
-        levels are not re-counted)."""
+        the analysis counters, so comparisons first used at earlier
+        levels are not re-counted), plus the filter's smallest decision
+        margin (``filter_min_margin``)."""
         rec = self._rec()
         level = "+".join(dims) if dims else "global"
         before = {
@@ -282,5 +361,19 @@ class Analysis:
                         name.split("analysis.", 1)[1].replace(".", "_"),
                         rec.counter_value(name) - start,
                     )
+                if self._table is not None and self._table.min_margin is not None:
+                    span.set("filter_min_margin", self._table.min_margin)
 
             yield finish
+
+
+def _count_nonzero(rec, name: str, n: int) -> None:
+    """Count ``n`` events, creating no counter for zero."""
+    if n:
+        rec.count(name, n)
+
+
+def _record_min(rec, name: str, value: float) -> None:
+    """Gauge the smallest value seen under ``name`` by this recorder."""
+    seen = getattr(rec, "gauges", {}).get(name)
+    rec.gauge(name, value if seen is None else min(seen, value))

@@ -44,9 +44,10 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import AnalysisError
 from ..study.dataset import Coverage, PerfDataset, TestCase
-from ..util import geomean
 from .algorithm1 import Analysis
 from .strategies import STRATEGY_DIMS, Strategy, build_strategies
 
@@ -155,39 +156,47 @@ class PortfolioCurve:
             ) from exc
 
 
-def _partition_medians(
-    dataset: PerfDataset, tests: Sequence[TestCase]
-) -> List[Dict[str, float]]:
-    """Per test: config key -> median, for every measured cell."""
-    rows: List[Dict[str, float]] = []
-    for test in sorted(tests):
-        medians: Dict[str, float] = {}
-        for config in dataset.configs:
-            times = dataset.times_or_none(test, config)
-            if times is not None:
-                ordered = sorted(times)
-                n = len(ordered)
-                mid = n // 2
-                medians[config.key()] = (
-                    ordered[mid]
-                    if n % 2
-                    else (ordered[mid - 1] + ordered[mid]) / 2.0
-                )
-        if medians:
-            rows.append(medians)
-    return rows
+class _Partition:
+    """A partition's medians as a configs × tests matrix.
 
+    Rows are the configurations measured for at least one of the
+    partition's tests, in lexicographic key order; columns are the
+    tests with at least one measurement, in sorted order.  Holes are
+    ``inf``, so a running ``min`` over chosen rows is each test's best
+    deployed median.
+    """
 
-def _coverage_of(rows: Sequence[Dict[str, float]], configs: Sequence[str]) -> float:
-    """Geomean fraction-of-oracle of a configuration set over ``rows``."""
-    chosen = set(configs)
-    ratios: List[float] = []
-    for medians in rows:
-        oracle = min(medians.values())
-        deployed = [m for key, m in medians.items() if key in chosen]
-        best = min(deployed) if deployed else max(medians.values())
-        ratios.append(oracle / best)
-    return geomean(ratios)
+    def __init__(self, dataset: PerfDataset, tests: Sequence[TestCase]) -> None:
+        tensor = dataset.tensor()
+        index = tensor.test_index
+        rows = tensor.test_ids(t for t in sorted(tests) if t in index)
+        rows = rows[tensor.present[rows].any(axis=1)]
+        present = tensor.present[rows]
+        measured = np.where(present, tensor.medians[rows], np.inf)
+        by_key = sorted(range(len(tensor.configs)), key=tensor.config_keys.__getitem__)
+        cols = [c for c in by_key if present[:, c].any()]
+        self.keys: List[str] = [tensor.config_keys[c] for c in cols]
+        self.n_tests = len(rows)
+        self.oracle = measured.min(axis=1, initial=np.inf)
+        self.worst = np.where(present, measured, -np.inf).max(axis=1, initial=-np.inf)
+        self.medians = np.ascontiguousarray(measured[:, cols].T)
+
+    def coverage(self, best: np.ndarray) -> np.ndarray:
+        """Coverage of deployed sets, from each test's best median.
+
+        ``best`` holds each test's best median over a set (``inf``
+        where none of the set was measured) — one set per row of a
+        2-D array.  Every value is the geomean of ``oracle / best``
+        that :func:`repro.util.geomean` computes for one set.
+        """
+        deployed = np.where(np.isinf(best), self.worst, best)
+        return np.exp(np.log(self.oracle / deployed).mean(axis=-1))
+
+    def best_of(self, keys: Sequence[str]) -> np.ndarray:
+        """Each test's best median over ``keys`` (``inf`` where none)."""
+        wanted = set(keys)
+        rows = [i for i, k in enumerate(self.keys) if k in wanted]
+        return self.medians[rows].min(axis=0, initial=np.inf)
 
 
 def portfolio_coverage(
@@ -202,7 +211,10 @@ def portfolio_coverage(
     measured configuration (the pessimal deploy), and tests with no
     measurements at all are skipped.
     """
-    return _coverage_of(_partition_medians(dataset, tests), configs)
+    part = _Partition(dataset, tests)
+    if not part.n_tests:
+        return 1.0
+    return float(part.coverage(part.best_of(configs)))
 
 
 def greedy_portfolio(
@@ -221,35 +233,38 @@ def greedy_portfolio(
     subsequent steps add the configuration with the largest marginal
     coverage gain, ties broken by lexicographic configuration key.
     Stops at coverage 1.0, at ``k_max``, or when no candidate gains.
+    Each step scores every remaining candidate in one numpy pass over
+    the partition's median matrix.
     """
-    rows = _partition_medians(dataset, tests)
-    curve = PortfolioCurve(level=level, key=key, n_tests=len(rows))
-    if not rows:
+    part = _Partition(dataset, tests)
+    curve = PortfolioCurve(level=level, key=key, n_tests=part.n_tests)
+    if not part.n_tests:
         return curve
-    candidates = sorted({key for medians in rows for key in medians})
     chosen: List[str] = []
+    best = np.full(part.n_tests, np.inf)
     coverage = 0.0
     if seed is not None:
         chosen.append(seed)
-        coverage = _coverage_of(rows, chosen)
+        best = part.best_of(chosen)
+        coverage = float(part.coverage(best))
         curve.steps.append(
             PortfolioStep(config=seed, coverage=coverage, gain=coverage)
         )
     while coverage < 1.0 and (k_max is None or len(chosen) < k_max):
-        best_key: Optional[str] = None
-        best_cov = coverage
-        for candidate in candidates:
-            if candidate in chosen:
-                continue
-            cov = _coverage_of(rows, chosen + [candidate])
-            if cov > best_cov:
-                best_key, best_cov = candidate, cov
-        if best_key is None:
+        rows = [i for i, k in enumerate(part.keys) if k not in chosen]
+        if not rows:
             break
-        chosen.append(best_key)
+        covs = part.coverage(np.minimum(best, part.medians[rows]))
+        pick = int(np.argmax(covs))  # first (lowest key) of the maxima
+        best_cov = float(covs[pick])
+        if not best_cov > coverage:
+            break
+        row = rows[pick]
+        chosen.append(part.keys[row])
+        best = np.minimum(best, part.medians[row])
         curve.steps.append(
             PortfolioStep(
-                config=best_key,
+                config=part.keys[row],
                 coverage=best_cov,
                 gain=best_cov - coverage,
             )

@@ -5,7 +5,8 @@ the difference between the two timing samples to be statistically
 significant at 95 % confidence.  With the study's three repetitions
 per measurement this is a Welch confidence interval on the difference
 of means: the comparison is significant when the interval excludes
-zero.
+zero, i.e. when the two-sided Welch p-value is below ``1 - confidence``
+(:func:`welch_tail`, vectorized over many comparisons at once).
 
 The same filter defines the paper's vocabulary: a configuration gives
 a test a *speedup* (or *slowdown*) only when its timings differ
@@ -15,43 +16,39 @@ corresponding direction.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
 from .. import obs
 from .stats.summary import median
-from .stats.tdist import t_ppf
+from .stats.tdist import t_tail
 
-__all__ = ["significant_difference", "classify_outcome", "welch_interval"]
+__all__ = ["significant_difference", "classify_outcome", "welch_tail"]
 
 
-def welch_interval(
-    a: Sequence[float], b: Sequence[float], confidence: float = 0.95
-):
-    """Welch CI for mean(a) - mean(b); returns (low, high).
+def welch_tail(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Two-sided Welch p-value of ``mean(a) - mean(b)``, row by row.
+
+    ``a`` and ``b`` are ``k × n_a`` and ``k × n_b`` arrays (at least two
+    columns each): row ``i`` compares ``a[i]`` against ``b[i]``.  The
+    comparison is significant at confidence ``c`` iff the value is
+    below ``1 - c`` — exactly when the Welch interval excludes zero,
+    decided on the CDF side so no t quantile is needed.
 
     Degenerate zero-variance samples get a tiny floor variance so the
-    interval stays well-defined (timing data is never exactly
+    statistic stays well-defined (timing data is never exactly
     constant, but simulated data can be).
     """
-    obs.count("analysis.welch_intervals")
-    a = np.asarray(list(a), dtype=np.float64)
-    b = np.asarray(list(b), dtype=np.float64)
-    if a.size < 2 or b.size < 2:
-        raise ValueError("Welch interval needs at least two samples per side")
-    va = max(float(a.var(ddof=1)), 1e-24)
-    vb = max(float(b.var(ddof=1)), 1e-24)
-    na, nb = a.size, b.size
-    se_sq = va / na + vb / nb
-    df = se_sq ** 2 / (
-        (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
-    )
-    t_crit = t_ppf(0.5 + confidence / 2.0, max(df, 1.0))
-    diff = float(a.mean() - b.mean())
-    half = t_crit * math.sqrt(se_sq)
-    return diff - half, diff + half
+    na, nb = a.shape[1], b.shape[1]
+    if na < 2 or nb < 2:
+        raise ValueError("Welch test needs at least two samples per side")
+    va = np.maximum(a.var(axis=1, ddof=1), 1e-24) / na
+    vb = np.maximum(b.var(axis=1, ddof=1), 1e-24) / nb
+    se_sq = va + vb
+    df = np.maximum(se_sq**2 / (va**2 / (na - 1) + vb**2 / (nb - 1)), 1.0)
+    diff = a.mean(axis=1) - b.mean(axis=1)
+    return t_tail(diff * diff / se_sq, df)
 
 
 def significant_difference(
@@ -68,8 +65,9 @@ def significant_difference(
     if len(a) < 2 or len(b) < 2:
         obs.count("analysis.pairs.single_sample")
         return False
-    low, high = welch_interval(a, b, confidence)
-    return low > 0.0 or high < 0.0
+    obs.count("analysis.welch_intervals")
+    tail = welch_tail(np.array([a], dtype=np.float64), np.array([b], dtype=np.float64))
+    return bool(tail[0] < 1.0 - confidence)
 
 
 def classify_outcome(

@@ -27,8 +27,13 @@ def cl_effect_size(a: Sequence[float], b: Sequence[float]) -> float:
     b = np.asarray(list(b), dtype=np.float64)
     if a.size == 0 or b.size == 0:
         return 0.5
-    less = np.count_nonzero(a[:, None] < b[None, :])
-    equal = np.count_nonzero(a[:, None] == b[None, :])
+    # Count cross pairs by binary search over the sorted b: exact
+    # integer counts without the a × b comparison matrix.
+    b = np.sort(b)
+    below = np.searchsorted(b, a, side="left")
+    above = np.searchsorted(b, a, side="right")
+    less = int((b.size - above).sum())
+    equal = int((above - below).sum())
     return float((less + 0.5 * equal) / (a.size * b.size))
 
 

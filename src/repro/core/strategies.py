@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.options import BASELINE, OptConfig
-from ..errors import AnalysisError
+from ..errors import AnalysisError, DatasetError
 from ..study.dataset import Coverage, PerfDataset, TestCase
 from .algorithm1 import Analysis
 
@@ -147,11 +147,21 @@ class Strategy:
 def oracle_assignment(
     dataset: PerfDataset, tests: Optional[Sequence[TestCase]] = None
 ) -> Dict[Tuple, OptConfig]:
-    """Best configuration per (app, input, chip), queried exhaustively."""
-    tests = list(tests) if tests is not None else dataset.tests
-    return {
-        (t.app, t.graph, t.chip): dataset.best_config(t) for t in tests
-    }
+    """Best configuration per (app, input, chip), queried exhaustively.
+
+    The same pick as :meth:`~repro.study.dataset.PerfDataset.best_config`
+    (lowest median, first in dataset order on ties), read off the
+    measurement tensor's median matrix in one pass.
+    """
+    tensor = dataset.tensor()
+    best = tensor.oracle_ids()
+    out: Dict[Tuple, OptConfig] = {}
+    for t in tests if tests is not None else dataset.tests:
+        i = tensor.test_index.get(t)
+        if i is None or best[i] < 0:
+            raise DatasetError(f"no measurements at all for {t}")
+        out[(t.app, t.graph, t.chip)] = tensor.configs[best[i]]
+    return out
 
 
 def save_strategies(strategies: Dict[str, Strategy], path: str) -> None:

@@ -51,6 +51,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..compiler.options import BASELINE, OptConfig
 from ..core.algorithm1 import SPECIALISATION_DIMS, Analysis
 from ..core.portfolio import (
@@ -64,6 +66,7 @@ from ..errors import AnalysisError, StrategyIndexError
 from ..obs import get_recorder
 from ..study.audit import DatasetAudit, audit_dataset
 from ..study.dataset import Coverage, PerfDataset, TestCase
+from ..study.tensor import MeasurementTensor
 from ..util import atomic_write_text, geomean, sha256_hex
 
 __all__ = [
@@ -784,45 +787,35 @@ def _config_label(config_key: str) -> str:
 
 
 def _entry_metadata(
-    dataset: PerfDataset,
+    tensor: MeasurementTensor,
     tests: Sequence[TestCase],
     config: OptConfig,
-    oracle: Dict[TestCase, Optional[OptConfig]],
-    n_configs: int,
+    oracle: np.ndarray,
 ) -> Tuple[Optional[float], Optional[float], int, int]:
-    """(expected_speedup, slowdown_vs_oracle, cells_present, cells_expected)."""
-    speedups: List[float] = []
-    slowdowns: List[float] = []
-    cells_present = 0
-    for test in tests:
-        times_cfg = dataset.times_or_none(test, config)
-        times_base = dataset.times_or_none(test, BASELINE)
-        if times_cfg is not None and times_base is not None:
-            m_cfg = _median(times_cfg)
-            speedups.append(_median(times_base) / m_cfg)
-            best = oracle.get(test)
-            if best is not None:
-                times_best = dataset.times_or_none(test, best)
-                if times_best is not None:
-                    slowdowns.append(m_cfg / _median(times_best))
-        for cfg in dataset.configs:
-            if dataset.has(test, cfg):
-                cells_present += 1
+    """(expected_speedup, slowdown_vs_oracle, cells_present, cells_expected).
+
+    ``oracle`` holds each test's best configuration id (-1 for a test
+    with no measurements), as :meth:`MeasurementTensor.oracle_ids`
+    returns it.
+    """
+    rows = tensor.test_ids(tests)
+    present = tensor.present[rows]
+    speedups = slowdowns = np.empty(0)
+    cfg, base = tensor.config_id(config), tensor.config_id(BASELINE)
+    if cfg is not None and base is not None:
+        both = present[:, cfg] & present[:, base]
+        m_cfg = tensor.medians[rows, cfg][both]
+        speedups = tensor.medians[rows, base][both] / m_cfg
+        best = oracle[rows][both]
+        ranked = best >= 0
+        m_best = tensor.medians[rows[both][ranked], best[ranked]]
+        slowdowns = m_cfg[ranked] / m_best
     return (
-        geomean(speedups) if speedups else None,
-        geomean(slowdowns) if slowdowns else None,
-        cells_present,
-        len(tests) * n_configs,
+        geomean(speedups) if speedups.size else None,
+        geomean(slowdowns) if slowdowns.size else None,
+        int(np.count_nonzero(present)),
+        len(tests) * len(tensor.configs),
     )
-
-
-def _median(times: Tuple[float, ...]) -> float:
-    ordered = sorted(times)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
 
 
 def build_index(
@@ -858,13 +851,8 @@ def build_index(
         if strategies is None:
             strategies = build_strategies(clean, analysis)
 
-        n_configs = len(clean.configs)
-        oracle: Dict[TestCase, Optional[OptConfig]] = {}
-        for test in clean.tests:
-            try:
-                oracle[test] = clean.best_config(test)
-            except Exception:  # a test with no measurements at all
-                oracle[test] = None
+        tensor = clean.tensor()
+        oracle = tensor.oracle_ids()
 
         levels: Dict[str, Dict[Tuple[str, ...], IndexEntry]] = {}
         for level, dims in STRATEGY_DIMS.items():
@@ -874,7 +862,7 @@ def build_index(
                 for key, config in strategies[level].assignment.items():
                     tests = partitions.get(key, [])
                     speedup, slowdown, present, expected = _entry_metadata(
-                        clean, tests, config, oracle, n_configs
+                        tensor, tests, config, oracle
                     )
                     cells[key] = IndexEntry(
                         level=level,
@@ -895,7 +883,7 @@ def build_index(
         # quantifies what giving up entirely costs.
         all_tests = clean.tests
         speedup, slowdown, present, expected = _entry_metadata(
-            clean, all_tests, BASELINE, oracle, n_configs
+            tensor, all_tests, BASELINE, oracle
         )
         levels["baseline"] = {
             (): IndexEntry(
@@ -916,7 +904,7 @@ def build_index(
             "apps": clean.apps,
             "chips": clean.chips,
             "inputs": clean.graphs,
-            "n_configs": n_configs,
+            "n_configs": len(tensor.configs),
             "n_tests": len(all_tests),
         }
         index = StrategyIndex(levels, coverage, meta=meta)

@@ -22,6 +22,7 @@ import numpy as np
 from ..compiler.options import OptConfig
 from ..errors import DatasetError
 from ..util import atomic_write_bytes, sha256_hex
+from .tensor import MeasurementTensor
 
 __all__ = [
     "TestCase",
@@ -97,6 +98,9 @@ class PerfDataset:
     :meth:`repro.compiler.options.OptConfig.key`.
     """
 
+    #: The cached :meth:`tensor`; dropped by every mutation.
+    _tensor = None
+
     def __init__(self) -> None:
         self._times: Dict[Tuple[TestCase, str], Tuple[float, ...]] = {}
         self._configs: Dict[str, OptConfig] = {}
@@ -113,6 +117,7 @@ class PerfDataset:
         if any(t <= 0 for t in times):
             raise DatasetError(f"non-positive timing for {test} [{config.label()}]")
         key = config.key()
+        self._tensor = None
         self._times[(test, key)] = tuple(float(t) for t in times)
         self._configs.setdefault(key, config)
         self._tests.setdefault(test, None)
@@ -127,6 +132,7 @@ class PerfDataset:
         never do — otherwise :class:`~repro.errors.DatasetError` is
         raised.
         """
+        self._tensor = None
         for (test, key), times in other._times.items():
             existing = self._times.get((test, key))
             if existing is not None and existing != times:
@@ -187,6 +193,19 @@ class PerfDataset:
     @property
     def n_measurements(self) -> int:
         return len(self._times)
+
+    def tensor(self) -> MeasurementTensor:
+        """The dataset as a dense :class:`~repro.study.tensor.MeasurementTensor`.
+
+        Built on first call from :meth:`iter_cells` (so every backend
+        shares this one implementation) and cached until the dataset
+        is next mutated through :meth:`add` or :meth:`update`.
+        """
+        if self._tensor is None:
+            self._tensor = MeasurementTensor(
+                self.tests, self.configs, self.iter_cells()
+            )
+        return self._tensor
 
     # -- queries ------------------------------------------------------------
 

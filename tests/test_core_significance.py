@@ -1,9 +1,17 @@
-"""Tests for the 95% CI significance filter and outcome vocabulary."""
+"""Tests for the 95% CI significance filter and outcome vocabulary.
 
+``welch_interval`` is the interval-side oracle the CDF-side filter
+replaced; its tests pin the oracle, and the filter is held to it in
+``test_analysis_differential.py``.
+"""
+
+import numpy as np
 import pytest
 import scipy.stats
 
-from repro.core import classify_outcome, significant_difference, welch_interval
+from repro.core import classify_outcome, significant_difference, welch_tail
+
+from .oracle_scalar import welch_interval
 
 
 class TestWelchInterval:
@@ -39,6 +47,30 @@ class TestWelchInterval:
         lo95, hi95 = welch_interval(a, b, 0.95)
         lo99, hi99 = welch_interval(a, b, 0.99)
         assert lo99 < lo95 and hi99 > hi95
+
+
+class TestWelchTail:
+    def test_matches_scipy_welch_ttest(self, rng):
+        a = rng.normal(10.0, 1.0, size=(40, 3))
+        b = rng.normal(10.5, 1.5, size=(40, 4))
+        expected = scipy.stats.ttest_ind(a, b, axis=1, equal_var=False).pvalue
+        np.testing.assert_allclose(welch_tail(a, b), expected, rtol=1e-9)
+
+    def test_rows_are_independent(self, rng):
+        a = rng.normal(10.0, 1.0, size=(12, 3))
+        b = rng.normal(11.0, 1.0, size=(12, 3))
+        rows = [welch_tail(a[i : i + 1], b[i : i + 1])[0] for i in range(12)]
+        np.testing.assert_allclose(welch_tail(a, b), rows, rtol=1e-14)
+
+    def test_needs_two_samples(self):
+        with pytest.raises(ValueError):
+            welch_tail(np.ones((2, 1)), np.ones((2, 3)))
+
+    def test_zero_variance_handled(self):
+        p = welch_tail(np.full((1, 3), 5.0), np.full((1, 3), 7.0))
+        assert p[0] < 1e-12  # clearly different despite degenerate variance
+        same = welch_tail(np.full((1, 3), 5.0), np.full((1, 3), 5.0))
+        assert same[0] == 1.0
 
 
 class TestSignificance:

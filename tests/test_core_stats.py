@@ -16,11 +16,13 @@ from repro.core.stats import (
     rankdata,
     speedup_ratio,
     t_cdf,
-    t_ppf,
+    t_tail,
     tie_groups,
 )
 from repro.core.stats.tdist import betainc_regularized
 from repro.errors import InsufficientDataError
+
+from .oracle_scalar import t_ppf
 
 floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -79,6 +81,26 @@ class TestTDistribution:
         assert betainc_regularized(a, b, x) == pytest.approx(
             scipy.special.betainc(a, b, x), abs=1e-8
         )
+
+    def test_betainc_vectorized_matches_scipy_elementwise(self, rng):
+        a = rng.uniform(0.5, 20.0, size=500)
+        b = rng.uniform(0.5, 20.0, size=500)
+        x = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, size=498)])
+        got = betainc_regularized(a, b, x)
+        assert got.shape == (500,)
+        np.testing.assert_allclose(got, scipy.special.betainc(a, b, x), rtol=0, atol=1e-12)
+
+    def test_betainc_rejects_x_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            betainc_regularized(1.0, 1.0, 1.5)
+        with pytest.raises(ValueError):
+            betainc_regularized([1.0, 1.0], 1.0, [0.5, -0.1])
+
+    @pytest.mark.parametrize("df", [1.0, 2.5, 4.0, 8.0, 40.0])
+    def test_two_sided_tail_matches_scipy(self, df):
+        t = np.array([0.0, 0.3, 1.0, 2.776, 4.0, 30.0])
+        expected = 2.0 * scipy.stats.t.sf(t, df)
+        np.testing.assert_allclose(t_tail(t * t, df), expected, rtol=1e-10, atol=1e-15)
 
 
 class TestMWU:

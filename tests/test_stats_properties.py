@@ -11,10 +11,13 @@ tests cannot sweep:
   contract: ranks sum to ``n(n+1)/2``, tied values share a rank,
   permutation only permutes ranks;
 * the from-scratch t distribution matches closed forms (df 1, 2, 3)
-  and a slow numerical-integration reference (df >= 5), and
-  ``t_ppf``/``t_cdf`` round-trip;
-* the Welch interval is antisymmetric under sample swap (exactly, in
-  IEEE arithmetic) and widens with confidence.
+  and a slow numerical-integration reference (df >= 5), and the
+  oracle's bisecting ``t_ppf`` round-trips through ``t_cdf``;
+* the oracle's Welch interval is antisymmetric under sample swap
+  (exactly, in IEEE arithmetic) and widens with confidence;
+* the shipped CDF-side filter decides as the interval does, ignores
+  which sample comes first, and is monotone in the confidence level
+  (significant at 99 % implies significant at 95 %).
 
 Integer-valued floats keep order and tie structure exact under the
 affine transforms, so the invariance assertions can use equality
@@ -30,10 +33,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.significance import significant_difference, welch_interval
+from repro.core.significance import significant_difference
 from repro.core.stats.mwu import mann_whitney_u
 from repro.core.stats.ranks import rankdata, tie_groups
-from repro.core.stats.tdist import t_cdf, t_ppf
+from repro.core.stats.tdist import t_cdf
+
+from . import oracle_scalar
+from .oracle_scalar import t_ppf, welch_interval
 
 # Small integer-valued samples: ties are common (the interesting case)
 # and affine transforms with integer coefficients stay exact.
@@ -239,3 +245,24 @@ def test_welch_identical_samples_not_significant(a, shift):
     shifted = [x + 1000.0 + shift for x in a]
     if len(set(a)) > 1:
         assert significant_difference(shifted, a)
+
+
+# -- the shipped CDF-side filter ------------------------------------------------
+
+
+@given(sample, sample)
+def test_filter_decision_symmetric_under_swap(a, b):
+    assert significant_difference(a, b) == significant_difference(b, a)
+
+
+@given(sample, sample)
+def test_filter_significant_at_99_implies_significant_at_95(a, b):
+    if significant_difference(a, b, confidence=0.99):
+        assert significant_difference(a, b, confidence=0.95)
+
+
+@given(sample, sample, st.sampled_from([0.80, 0.90, 0.95, 0.99]))
+def test_filter_decides_as_the_interval_oracle(a, b, confidence):
+    assert significant_difference(a, b, confidence) == (
+        oracle_scalar.significant_difference(a, b, confidence)
+    )
