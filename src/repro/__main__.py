@@ -6,7 +6,7 @@ epilog and the tests can never disagree about what exists.
 
 * ``study`` — run the full study and save the dataset (delegates to
   :mod:`repro.study.runner`; checkpointed, resumable, shardable over
-  worker processes; ``--store v3`` spills binary columnar shards);
+  worker processes; a ``.v3`` output is saved as binary columnar);
 * ``dataset`` — convert between the JSON ``perf-dataset-v2`` family
   and the binary columnar ``perf-dataset-v3``, inspect headers, and
   run full checksum verification (:mod:`repro.store.cli`);

@@ -65,6 +65,7 @@ from .search_eval import (
     budget_fractions,
     oracle_best,
     partition_fractions,
+    replay_fractions,
     replay_search,
 )
 from .portability import (
@@ -144,6 +145,7 @@ __all__ = [
     "budget_fractions",
     "oracle_best",
     "partition_fractions",
+    "replay_fractions",
     "replay_search",
     "EnvelopeEntry",
     "cross_chip_heatmap",

@@ -29,7 +29,9 @@ correlate draws (see ``docs/autotuning.md``).
 
 Counters (on the current :mod:`repro.obs` recorder): ``search.replays``
 (one per replay), ``search.evaluations`` (observations that returned
-data) and ``search.holes`` (probes that hit missing cells).
+data) and ``search.holes`` (probes that hit missing cells).  Each
+distinct ``(strategy, test, budget, trial)`` replay runs once per
+:func:`replay_fractions` table, however many aggregates read it.
 
 Also home of the ``repro search`` CLI (:func:`main`).
 """
@@ -53,8 +55,13 @@ __all__ = [
     "main",
     "oracle_best",
     "partition_fractions",
+    "replay_fractions",
     "replay_search",
 ]
+
+#: Every replay's fraction of oracle: ``(strategy, budget)`` -> test ->
+#: the fractions of its trials, tests in canonical (sorted) order.
+Replays = Dict[Tuple[str, int], Dict[TestCase, List[float]]]
 
 #: Budgets the ``budget`` experiment sweeps: full-fidelity evaluation
 #: counts out of the 96-configuration lattice (96 = the exhaustive
@@ -114,6 +121,13 @@ def _test_medians(dataset: PerfDataset, test: TestCase) -> Dict[str, float]:
     return medians
 
 
+def _oracle(medians: Dict[str, float]) -> Optional[Tuple[str, float]]:
+    if not medians:
+        return None
+    med, key = min((m, k) for k, m in medians.items())
+    return key, med
+
+
 def oracle_best(
     dataset: PerfDataset, test: TestCase
 ) -> Optional[Tuple[str, float]]:
@@ -125,11 +139,7 @@ def oracle_best(
     budget-of-the-whole-pool search converges to.  ``None`` for a test
     with no measurements at all.
     """
-    medians = _test_medians(dataset, test)
-    if not medians:
-        return None
-    med, key = min((m, k) for k, m in medians.items())
-    return key, med
+    return _oracle(_test_medians(dataset, test))
 
 
 def replay_search(
@@ -185,7 +195,7 @@ def replay_search(
     count("search.holes", holes)
 
     best = searcher.best()
-    oracle = oracle_best(dataset, test)
+    oracle = _oracle(medians)
     chosen = best[0] if best is not None else None
     chosen_median = medians.get(chosen) if chosen is not None else None
     fraction: Optional[float] = None
@@ -220,21 +230,21 @@ def _scoreable_tests(dataset: PerfDataset) -> List[TestCase]:
     ]
 
 
-def budget_fractions(
+def replay_fractions(
     dataset: PerfDataset,
     *,
     strategies: Optional[Sequence[str]] = None,
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     trials: int = 8,
     seed: int = 0,
-) -> Dict[str, Dict[int, float]]:
-    """Aggregate quality-vs-budget curves: strategy -> budget -> fraction.
+) -> Replays:
+    """Replay every (strategy, budget, scoreable test, trial) once.
 
-    The fraction at each (strategy, budget) is the geometric mean over
-    every scoreable test and every trial of the replay's fraction of
-    oracle.  Budgets larger than the configuration pool are clamped
-    (they buy nothing extra); ``trials`` re-runs each replay under
-    distinct derived seeds to average out draw luck.
+    The table feeds both :func:`budget_fractions` and
+    :func:`partition_fractions`, so a report that renders the overall
+    and the per-partition curves replays each search only once.
+    ``trials`` re-runs each replay under distinct derived seeds to
+    average out draw luck.
     """
     if trials < 1:
         raise SearchError(f"trials must be positive, got {trials}")
@@ -242,13 +252,10 @@ def budget_fractions(
         SEARCH_STRATEGIES
     )
     tests = _scoreable_tests(dataset)
-    out: Dict[str, Dict[int, float]] = {}
-    for name in names:
-        per_budget: Dict[int, float] = {}
-        for budget in budgets:
-            fractions = [
+    return {
+        (name, budget): {
+            test: [
                 result.fraction
-                for test in tests
                 for trial in range(trials)
                 if (
                     result := replay_search(
@@ -256,9 +263,48 @@ def budget_fractions(
                     )
                 ).fraction is not None
             ]
-            per_budget[budget] = geomean(fractions)
-        out[name] = per_budget
-    return out
+            for test in tests
+        }
+        for name in names
+        for budget in budgets
+    }
+
+
+def budget_fractions(
+    dataset: PerfDataset,
+    *,
+    strategies: Optional[Sequence[str]] = None,
+    budgets: Sequence[int] = DEFAULT_BUDGETS,
+    trials: int = 8,
+    seed: int = 0,
+    replays: Optional[Replays] = None,
+) -> Dict[str, Dict[int, float]]:
+    """Aggregate quality-vs-budget curves: strategy -> budget -> fraction.
+
+    The fraction at each (strategy, budget) is the geometric mean over
+    every scoreable test and every trial of the replay's fraction of
+    oracle.  Budgets larger than the configuration pool are clamped
+    (they buy nothing extra).  ``replays`` (from
+    :func:`replay_fractions`) supplies precomputed replays; without it
+    they are replayed here.
+    """
+    names = list(strategies) if strategies is not None else sorted(
+        SEARCH_STRATEGIES
+    )
+    if replays is None:
+        replays = replay_fractions(
+            dataset, strategies=names, budgets=budgets, trials=trials,
+            seed=seed,
+        )
+    return {
+        name: {
+            budget: geomean(
+                [f for fs in replays[name, budget].values() for f in fs]
+            )
+            for budget in budgets
+        }
+        for name in names
+    }
 
 
 def partition_fractions(
@@ -269,13 +315,15 @@ def partition_fractions(
     dims: Sequence[str] = ("chip",),
     trials: int = 8,
     seed: int = 0,
+    replays: Optional[Replays] = None,
 ) -> Dict[Tuple[str, ...], Dict[int, float]]:
     """Per-lattice-partition curves: partition key -> budget -> fraction.
 
     ``dims`` picks the partitioning axes from ``("chip", "app",
     "input")`` — the same lattice the Table V strategies specialise on.
     Each partition aggregates (geomean) the fractions of its tests
-    across ``trials`` replays.
+    across ``trials`` replays; ``replays`` as in
+    :func:`budget_fractions`.
     """
     axes = {"chip": "chip", "app": "app", "input": "graph"}
     unknown = [d for d in dims if d not in axes]
@@ -284,28 +332,20 @@ def partition_fractions(
             f"unknown partition dim(s) {unknown}; expected a subset of "
             f"{sorted(axes)}"
         )
-    groups: Dict[Tuple[str, ...], List[TestCase]] = {}
-    for test in _scoreable_tests(dataset):
-        key = tuple(getattr(test, axes[d]) for d in dims)
-        groups.setdefault(key, []).append(test)
-    out: Dict[Tuple[str, ...], Dict[int, float]] = {}
-    for key in sorted(groups):
-        per_budget: Dict[int, float] = {}
-        for budget in budgets:
-            fractions = [
-                result.fraction
-                for test in groups[key]
-                for trial in range(trials)
-                if (
-                    result := replay_search(
-                        dataset, test, strategy, budget,
-                        seed=seed, trial=trial,
-                    )
-                ).fraction is not None
-            ]
-            per_budget[budget] = geomean(fractions)
-        out[key] = per_budget
-    return out
+    if replays is None:
+        replays = replay_fractions(
+            dataset, strategies=[strategy], budgets=budgets, trials=trials,
+            seed=seed,
+        )
+    out: Dict[Tuple[str, ...], Dict[int, List[float]]] = {}
+    for budget in budgets:
+        for test, fs in replays[strategy, budget].items():
+            key = tuple(getattr(test, axes[d]) for d in dims)
+            out.setdefault(key, {}).setdefault(budget, []).extend(fs)
+    return {
+        key: {budget: geomean(fs) for budget, fs in out[key].items()}
+        for key in sorted(out)
+    }
 
 
 def main(argv=None) -> int:
@@ -412,6 +452,13 @@ def main(argv=None) -> int:
     def _render() -> str:
         from ..experiments import budget_curve as experiment
 
+        replays = replay_fractions(
+            audit.dataset,
+            strategies=names,
+            budgets=budgets,
+            trials=args.trials,
+            seed=args.seed,
+        )
         sections = [
             experiment.run(
                 audit.dataset,
@@ -419,6 +466,7 @@ def main(argv=None) -> int:
                 budgets=budgets,
                 trials=args.trials,
                 seed=args.seed,
+                replays=replays,
             )
         ]
         for name in names:
@@ -427,8 +475,7 @@ def main(argv=None) -> int:
                 name,
                 budgets=budgets,
                 dims=dims,
-                trials=args.trials,
-                seed=args.seed,
+                replays=replays,
             )
             rows = [
                 ["/".join(key)]

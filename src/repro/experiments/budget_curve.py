@@ -27,7 +27,7 @@ from typing import Dict, Optional, Sequence
 
 from ..core.reporting import render_table
 from ..core.search import SEARCH_STRATEGIES
-from ..core.search_eval import DEFAULT_BUDGETS, budget_fractions
+from ..core.search_eval import DEFAULT_BUDGETS, Replays, budget_fractions
 from ..study.dataset import PerfDataset
 from .common import coverage_footnote, default_dataset
 
@@ -40,6 +40,7 @@ def data(
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     trials: int = 8,
     seed: int = 0,
+    replays: Optional[Replays] = None,
 ) -> Dict[str, Dict[int, float]]:
     """Strategy -> budget -> geomean fraction-of-oracle."""
     if dataset is None:
@@ -50,6 +51,7 @@ def data(
         budgets=budgets,
         trials=trials,
         seed=seed,
+        replays=replays,
     )
 
 
@@ -59,6 +61,7 @@ def run(
     budgets: Sequence[int] = DEFAULT_BUDGETS,
     trials: int = 8,
     seed: int = 0,
+    replays: Optional[Replays] = None,
 ) -> str:
     if dataset is None:
         dataset = default_dataset()
@@ -68,6 +71,7 @@ def run(
         budgets=budgets,
         trials=trials,
         seed=seed,
+        replays=replays,
     )
     names = (
         list(strategies)

@@ -23,7 +23,7 @@ from ..core.algorithm1 import Analysis
 from ..core.strategies import Strategy, build_strategies
 from ..errors import DatasetError
 from ..study.audit import DatasetAudit, audit_dataset
-from ..study.dataset import DATASET_FORMAT, PerfDataset, peek_format
+from ..study.dataset import PerfDataset
 from ..study.runner import StudyConfig, run_study
 
 __all__ = [
@@ -61,19 +61,12 @@ def _load_audited(path: str, rebuildable: bool) -> Optional[DatasetAudit]:
     """Load and audit the artifact at ``path``; ``None`` forces a rebuild.
 
     ``rebuildable`` marks artifacts this module owns (the on-disk
-    cache): those are rebuilt when they predate ``perf-dataset-v2``,
-    fail to load, or contain quarantined cells.  An explicit
+    cache): those are rebuilt when they fail to load — untagged legacy
+    files included — or contain quarantined cells.  An explicit
     ``$REPRO_DATASET`` is never silently replaced — a degraded dataset
     there is the point (partial analysis), so bad cells are quarantined
     and the cleaned dataset is used; only an unloadable file raises.
     """
-    from ..store.columnar import COLUMNAR_FORMAT
-
-    if rebuildable and peek_format(path) not in (
-        DATASET_FORMAT,
-        COLUMNAR_FORMAT,
-    ):
-        return None
     try:
         dataset = PerfDataset.load(path)
     except DatasetError:

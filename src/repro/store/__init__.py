@@ -10,8 +10,8 @@ layout built from stdlib ``struct``/``array``/``mmap``:
 * :class:`~repro.store.columnar.ColumnarDataset` mmaps a ``.v3`` file
   read-only and serves the full :class:`~repro.study.dataset.PerfDataset`
   protocol — timings stay in the mapped file until a cell is queried;
-* :class:`~repro.store.columnar.ColumnWriter` appends cells (or whole
-  chunks, by segment concatenation) and commits atomically;
+* :class:`~repro.store.columnar.ColumnWriter` appends cells and
+  commits atomically;
 * :mod:`~repro.store.tracecache` shares compiled traces across study
   workers through the checkpoint directory instead of re-pickling them
   per worker pool;

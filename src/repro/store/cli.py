@@ -3,7 +3,7 @@
 Three verbs, one per operational question:
 
 * ``convert IN OUT`` — re-serialise a dataset between the JSON
-  ``perf-dataset-v2`` family (``.json`` / ``.json.gz``, legacy v1) and
+  ``perf-dataset-v2`` family (``.json`` / ``.json.gz``) and
   the binary columnar ``perf-dataset-v3`` (``.v3``), either direction,
   autodetected from the output extension (``--format`` overrides);
 * ``info PATH`` — header, axes and section summary without loading
@@ -23,7 +23,7 @@ import sys
 from typing import List, Optional
 
 from ..errors import DatasetError
-from ..study.dataset import PerfDataset, peek_format
+from ..study.dataset import DATASET_FORMAT, PerfDataset, peek_format
 from .columnar import COLUMNAR_FORMAT, ColumnarDataset, inspect_columnar
 
 __all__ = ["main"]
@@ -57,7 +57,7 @@ def _info(args) -> int:
         else:
             dataset = PerfDataset.load(args.path)
             info = {
-                "format": fmt or "perf-dataset-v1 (legacy, untagged)",
+                "format": DATASET_FORMAT,
                 "path": args.path,
                 "tests": len(dataset),
                 "cells": dataset.n_measurements,
@@ -96,7 +96,7 @@ def _verify(args) -> int:
     except DatasetError as exc:
         print(f"[dataset] FAIL: {exc}", file=sys.stderr)
         return 1
-    fmt = peek_format(args.path) or "perf-dataset-v1 (legacy, untagged)"
+    fmt = COLUMNAR_FORMAT if isinstance(dataset, ColumnarDataset) else DATASET_FORMAT
     print(
         f"[dataset] OK: {args.path} [{fmt}] — {dataset.n_measurements} "
         f"measurements across {len(dataset)} tests, all checksums verified"

@@ -13,18 +13,19 @@ Layout of a checkpoint directory::
       manifest.json              {"format", "fingerprint", "n_chips",
                                   "n_configs"}
       shard-<chip>-<config>.json {"task", "rows", "checksum"}
-      shard-<chip>-<config>.v3   columnar chunk (store="v3" sweeps)
       traces-<fingerprint>.bin   shared compiled-trace cache (optional)
       metrics.json               {"segments", "checksum"} (optional)
 
 Every file is written atomically (temp + rename) with a SHA-256
 checksum, so a crash can at worst lose the shard being written, never
 corrupt one already recorded; invalid shards found on resume are
-dropped and simply re-priced.  A columnar (``store="v3"``) sweep's
-workers spill each shard as a ``perf-dataset-v3`` chunk which
-:meth:`StudyCheckpoint.record_chunk` renames into place — the same
-bytes serve as the checkpoint shard and the parent's merge input, so
-nothing is re-serialised.
+dropped and simply re-priced.  :func:`read_shard` is the one shard
+validator: resume and ``repro doctor`` both call it.
+
+Older sweeps could also leave columnar ``shard-*.v3`` and
+``chunk-*.v3`` files here.  They are never read: their cells are
+re-priced on resume, and a fresh open or :meth:`StudyCheckpoint.clear`
+deletes them.
 
 The manifest carries the study's *fingerprint* — a stable hash over
 the chips, configurations, repetitions, engine, inputs and collected
@@ -41,10 +42,10 @@ import os
 import re
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import CheckpointError, DatasetError
+from ..errors import CheckpointError
 from ..util import atomic_write_text, sha256_hex, stable_hash
 
-__all__ = ["StudyCheckpoint", "study_fingerprint"]
+__all__ = ["StudyCheckpoint", "read_shard", "study_fingerprint"]
 
 #: Format tag of checkpoint manifests and shards.
 CHECKPOINT_FORMAT = "study-checkpoint-v1"
@@ -52,10 +53,51 @@ CHECKPOINT_FORMAT = "study-checkpoint-v1"
 #: A shard's rows: (application, input, timings) per priced trace.
 ShardRows = List[Tuple[str, str, List[float]]]
 
-_SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.(json|v3)$")
+SHARD_RE = re.compile(r"^shard-(\d+)-(\d+)\.json$")
 
-#: Worker spill chunks not yet renamed into shards, and trace caches.
-_SPILL_RE = re.compile(r"^(chunk-\d+-\d+\.v3|traces-[0-9a-f]+\.bin)$")
+#: Columnar shards and spill chunks written by older sweeps.
+LEGACY_RE = re.compile(r"^(shard|chunk)-\d+-\d+\.v3$")
+
+_TRACE_CACHE_RE = re.compile(r"^traces-[0-9a-f]+\.bin$")
+
+
+def read_shard(
+    path: str, task: Tuple[int, int]
+) -> Tuple[Optional[ShardRows], Optional[str]]:
+    """``(rows, None)`` for a valid shard file, else ``(None, reason)``.
+
+    A valid shard parses, names ``task`` in its task field and matches
+    its checksum.  Whether ``task`` lies inside the grid is the
+    caller's check.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+    except OSError as exc:
+        return None, f"unreadable ({exc})"
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        return None, "truncated or invalid JSON"
+    if not isinstance(payload, dict):
+        return None, "not a shard object"
+    if payload.get("task") != [task[0], task[1]]:
+        return None, (
+            f"task field {payload.get('task')!r} disagrees with the "
+            f"file name"
+        )
+    try:
+        body = json.dumps(payload["rows"], separators=(",", ":"))
+    except (KeyError, TypeError, ValueError):
+        return None, "missing or unserialisable rows"
+    if sha256_hex(body) != payload.get("checksum"):
+        return None, "checksum mismatch (modified or partially written)"
+    try:
+        rows = [
+            (str(app), str(inp), [float(t) for t in times])
+            for app, inp, times in payload["rows"]
+        ]
+    except (TypeError, ValueError):
+        return None, "malformed rows"
+    return rows, None
 
 
 def study_fingerprint(config, engine: str, traces: Dict[tuple, object]) -> str:
@@ -104,9 +146,9 @@ class StudyCheckpoint:
     def _manifest_path(self) -> str:
         return os.path.join(self.directory, self.MANIFEST)
 
-    def _shard_path(self, task: Tuple[int, int], ext: str = "json") -> str:
+    def _shard_path(self, task: Tuple[int, int]) -> str:
         return os.path.join(
-            self.directory, f"shard-{task[0]:04d}-{task[1]:04d}.{ext}"
+            self.directory, f"shard-{task[0]:04d}-{task[1]:04d}.json"
         )
 
     def _read_manifest(self):
@@ -187,8 +229,9 @@ class StudyCheckpoint:
             if (
                 name == self.MANIFEST
                 or name == self.METRICS
-                or _SHARD_RE.match(name)
-                or _SPILL_RE.match(name)
+                or SHARD_RE.match(name)
+                or LEGACY_RE.match(name)
+                or _TRACE_CACHE_RE.match(name)
             ):
                 try:
                     os.unlink(os.path.join(self.directory, name))
@@ -218,93 +261,24 @@ class StudyCheckpoint:
         )
         atomic_write_text(self._shard_path(task), payload)
 
-    def record_chunk(self, task: Tuple[int, int], chunk_path: str) -> str:
-        """Adopt a worker's spilled columnar chunk as this task's shard.
-
-        The chunk was already written atomically by the worker's
-        :class:`~repro.store.ColumnWriter`; renaming it into the shard
-        slot is the whole persistence step — no re-serialisation.  Any
-        stale JSON twin for the task is dropped so a shard never
-        resolves ambiguously.  Returns the shard's final path (the
-        parent merges straight from it).
-        """
-        dst = self._shard_path(task, "v3")
-        try:
-            os.unlink(self._shard_path(task, "json"))
-        except OSError:
-            pass
-        os.replace(chunk_path, dst)
-        return dst
-
     def _load_shards(
         self, n_chips: int, n_configs: int
     ) -> Dict[Tuple[int, int], ShardRows]:
         shards: Dict[Tuple[int, int], ShardRows] = {}
         self._skipped = 0
         for name in sorted(os.listdir(self.directory)):
-            match = _SHARD_RE.match(name)
+            match = SHARD_RE.match(name)
             if not match:
                 continue
             task = (int(match.group(1)), int(match.group(2)))
-            if match.group(3) == "v3":
-                rows = self._read_v3_shard(name, task, n_chips, n_configs)
-            else:
-                rows = self._read_shard(name, task, n_chips, n_configs)
+            rows = None
+            if 0 <= task[0] < n_chips and 0 <= task[1] < n_configs:
+                rows, _ = read_shard(os.path.join(self.directory, name), task)
             if rows is None:
-                self._skipped += 1
-            elif task in shards:  # a .json and a .v3 twin: re-price
-                del shards[task]
                 self._skipped += 1
             else:
                 shards[task] = rows
         return shards
-
-    def _read_v3_shard(self, name, task, n_chips, n_configs):
-        """Rows of one columnar chunk shard, or ``None`` if invalid.
-
-        A chunk holds exactly one (chip, configuration) cell of the
-        grid; anything else — multiple chips/configs, damage anywhere
-        in the file — invalidates the shard for re-pricing.
-        """
-        from ..store.columnar import ColumnarDataset
-
-        if not (0 <= task[0] < n_chips and 0 <= task[1] < n_configs):
-            return None
-        try:
-            ds = ColumnarDataset.load(os.path.join(self.directory, name))
-        except DatasetError:
-            return None
-        try:
-            ds.verify()
-            tables = ds.string_tables()
-            if len(tables["chips"]) > 1 or len(tables["configs"]) > 1:
-                return None
-            return [
-                (test.app, test.graph, list(times))
-                for test, _key, times in ds.iter_cells()
-            ]
-        except DatasetError:
-            return None
-        finally:
-            ds.close()
-
-    def _read_shard(self, name, task, n_chips, n_configs):
-        if not (0 <= task[0] < n_chips and 0 <= task[1] < n_configs):
-            return None
-        try:
-            with open(os.path.join(self.directory, name)) as f:
-                payload = json.load(f)
-            if payload["task"] != [task[0], task[1]]:
-                return None
-            body = json.dumps(payload["rows"], separators=(",", ":"))
-            if sha256_hex(body) != payload["checksum"]:
-                return None
-            return [
-                (str(app), str(inp), [float(t) for t in times])
-                for app, inp, times in payload["rows"]
-            ]
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
 
     # -- metrics -----------------------------------------------------------
 

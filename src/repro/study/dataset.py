@@ -32,7 +32,7 @@ __all__ = [
     "peek_format",
 ]
 
-#: Format tag of checksummed dataset files (legacy untagged files load too).
+#: Format tag of checksummed JSON dataset files.
 DATASET_FORMAT = "perf-dataset-v2"
 
 
@@ -421,9 +421,10 @@ class PerfDataset:
     def load(cls, path: str) -> "PerfDataset":
         """Load a dataset, raising :class:`DatasetError` on corruption.
 
-        Truncated files, invalid JSON, bad gzip streams and checksum
-        mismatches all raise a ``DatasetError`` naming the file and the
-        reason; legacy files without a checksum header still load.
+        Truncated files, invalid JSON, bad gzip streams, checksum
+        mismatches and files without the ``perf-dataset-v2`` format tag
+        and checksum all raise a ``DatasetError`` naming the file and
+        the reason.
 
         Binary columnar files (``perf-dataset-v3``, recognised by
         magic or a ``.v3`` extension) dispatch to
@@ -455,15 +456,23 @@ class PerfDataset:
             raise DatasetError(
                 f"corrupt dataset {path!r}: truncated or invalid JSON ({exc})"
             ) from exc
-        if isinstance(parsed, dict) and "checksum" in parsed:
-            body = json.dumps(
-                parsed.get("measurements", []), separators=(",", ":")
+        if not (
+            isinstance(parsed, dict)
+            and parsed.get("format") == DATASET_FORMAT
+            and "checksum" in parsed
+        ):
+            raise DatasetError(
+                f"dataset {path!r} is not a {DATASET_FORMAT!r} file: expected "
+                f"an object with a format tag, a checksum and a measurements "
+                f"list (untagged legacy files are not supported; re-run the "
+                f"study)"
             )
-            if sha256_hex(body) != parsed["checksum"]:
-                raise DatasetError(
-                    f"corrupt dataset {path!r}: checksum mismatch (the file "
-                    f"was modified or partially written)"
-                )
+        body = json.dumps(parsed.get("measurements", []), separators=(",", ":"))
+        if sha256_hex(body) != parsed["checksum"]:
+            raise DatasetError(
+                f"corrupt dataset {path!r}: checksum mismatch (the file "
+                f"was modified or partially written)"
+            )
         try:
             return cls.from_dict(parsed)
         except DatasetError as exc:

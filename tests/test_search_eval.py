@@ -197,6 +197,49 @@ class TestCLI:
         assert counters["search.replays"] > 0
         assert counters["search.evaluations"] > 0
 
+    def test_each_replay_runs_once(
+        self, dataset_path, golden_dataset, tmp_path, capsys
+    ):
+        """Both tables come from one replay of each (strategy, test,
+        budget, trial), and render exactly as separate aggregations."""
+        from repro.core.reporting import render_table
+        from repro.core.search_eval import main as search_main
+        from repro.obs.report import RunReport
+
+        metrics = str(tmp_path / "report.json")
+        code = search_main(
+            [dataset_path, "--budget", "8", "--budget", "16",
+             "--trials", "2", "--metrics", metrics]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        tests = _scoreable_tests(golden_dataset)
+        replays = RunReport.load(metrics).counters["search.replays"]
+        assert replays == len(STRATEGY_NAMES) * 2 * len(tests) * 2
+
+        budgets = (8, 16)
+        sections = [
+            budget_curve.run(golden_dataset, budgets=budgets, trials=2)
+        ]
+        for name in STRATEGY_NAMES:
+            per_chip = partition_fractions(
+                golden_dataset, name, budgets=budgets, trials=2
+            )
+            sections.append(
+                render_table(
+                    ["chip"] + [f"B={b}" for b in budgets],
+                    [
+                        ["/".join(key)] + [f"{c[b]:.1%}" for b in budgets]
+                        for key, c in per_chip.items()
+                    ],
+                    title=(
+                        f"Fraction of oracle by chip partition — "
+                        f"strategy: {name}"
+                    ),
+                )
+            )
+        assert out == "\n\n".join(sections) + "\n"
+
     def test_rejects_bad_arguments(self, dataset_path, capsys):
         from repro.core.search_eval import main as search_main
 

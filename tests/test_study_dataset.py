@@ -9,6 +9,8 @@ from repro.compiler import BASELINE, OptConfig
 from repro.errors import DatasetError
 from repro.faults import FaultPlan
 from repro.study import PerfDataset, TestCase
+from repro.study.dataset import DATASET_FORMAT
+from repro.util import sha256_hex
 
 
 @pytest.fixture
@@ -187,12 +189,14 @@ class TestPersistence:
         dataset.save(path)  # overwrite in place
         assert os.listdir(tmp_path) == ["ds.json"]
 
-    def test_legacy_uncheck_summed_payload_loads(self, dataset, tmp_path):
-        """Files from before the checksum header still load."""
+    def test_untagged_payload_rejected(self, dataset, tmp_path):
+        """Files without the format tag and checksum do not load."""
         path = str(tmp_path / "legacy.json")
         with open(path, "w") as f:
             json.dump(dataset.to_dict(), f)
-        assert PerfDataset.load(path) == dataset
+        with pytest.raises(DatasetError, match="format tag") as excinfo:
+            PerfDataset.load(path)
+        assert path in str(excinfo.value)
 
 
 class TestCorruptionDetection:
@@ -252,8 +256,17 @@ class TestCorruptionDetection:
 
     def test_malformed_record_raises(self, tmp_path):
         path = str(tmp_path / "ds.json")
+        records = [{"app": "a"}]
+        body = json.dumps(records, separators=(",", ":"))
         with open(path, "w") as f:
-            json.dump({"measurements": [{"app": "a"}]}, f)
+            json.dump(
+                {
+                    "format": DATASET_FORMAT,
+                    "checksum": sha256_hex(body),
+                    "measurements": records,
+                },
+                f,
+            )
         with pytest.raises(DatasetError, match="malformed measurement"):
             PerfDataset.load(path)
 
