@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark the study sweep: scalar vs. vectorized vs. parallel.
 
-Runs a reduced study (a few applications and chips, the full 96-way
+Times trace collection (phase 1) serially and on ``--jobs N`` worker
+processes, asserting identical traces in the identical order, then runs
+a reduced study (a few applications and chips, the full 96-way
 configuration axis) three ways over the same precollected traces:
 
 * ``scalar`` — the reference pricing path, one launch record at a time;
@@ -10,7 +12,9 @@ configuration axis) three ways over the same precollected traces:
 * ``batch --jobs N`` — the batch engine sharded over worker processes.
 
 All must produce the *identical* dataset (exact float equality); the
-harness asserts this before reporting.
+harness asserts this before reporting.  The parallel runs are made, and
+reported as ``batch_parallel`` / ``trace_collection_parallel``, only
+when ``--jobs`` is above 1.
 
 Every mode then measures the dataset *store* backends: the swept
 dataset is saved as both checksummed JSON (``perf-dataset-v2``) and
@@ -177,11 +181,24 @@ def main() -> int:
         f"x {len(config.chips)} chips x {len(config.configs)} configs"
     )
 
+    # The parallel collection goes first: the serial one memoises each
+    # graph's symmetrized view in this process, which forked trace
+    # workers would then inherit for free.
+    parallel = args.jobs > 1
+    if parallel:
+        started = time.perf_counter()
+        par_traces = collect_traces(config, jobs=args.jobs)
+        trace_par_s = time.perf_counter() - started
     started = time.perf_counter()
     traces = collect_traces(config)
     trace_s = time.perf_counter() - started
     launches = sum(t.n_launches for t in traces.values())
     print(f"collected {len(traces)} traces ({launches} launches) in {trace_s:.2f}s")
+    if parallel:
+        assert list(par_traces) == list(traces) and par_traces == traces, (
+            "parallel trace collection differs from the serial traces"
+        )
+        print(f"collected them with --jobs {args.jobs} in {trace_par_s:.2f}s")
 
     if scope == "10x":
         # The scalar reference would take minutes at this scope for no
@@ -191,10 +208,6 @@ def main() -> int:
         )
         print(f"batch sweep:           {batch_s:8.3f}s")
         scalar_ds, scalar_s = batch_ds, None
-        par_ds, par_s = _time_sweep(
-            config, traces, engine="batch", jobs=args.jobs
-        )
-        print(f"batch --jobs {args.jobs}:        {par_s:8.3f}s")
     else:
         scalar_ds, scalar_s = _time_sweep(
             config, traces, engine="scalar", jobs=1
@@ -205,16 +218,14 @@ def main() -> int:
             f"batch sweep:           {batch_s:8.3f}s  "
             f"({scalar_s / batch_s:.1f}x)"
         )
+    if parallel:
         par_ds, par_s = _time_sweep(
             config, traces, engine="batch", jobs=args.jobs
         )
-        print(
-            f"batch --jobs {args.jobs}:        {par_s:8.3f}s  "
-            f"({scalar_s / par_s:.1f}x)"
-        )
+        print(f"batch --jobs {args.jobs}:        {par_s:8.3f}s")
+        assert par_ds == scalar_ds, "parallel dataset differs from scalar reference"
 
     assert batch_ds == scalar_ds, "batch dataset differs from scalar reference"
-    assert par_ds == scalar_ds, "parallel dataset differs from scalar reference"
     print(
         f"datasets identical across engines and job counts "
         f"({scalar_ds.n_measurements} measurements)"
@@ -281,10 +292,6 @@ def main() -> int:
                 "jobs": 1,
                 "seconds": round(batch_s, 4),
             },
-            "batch_parallel": {
-                "jobs": args.jobs,
-                "seconds": round(par_s, 4),
-            },
         },
         "points_per_second": {
             "batch": round(n_points * len(traces) / batch_s, 1),
@@ -299,17 +306,27 @@ def main() -> int:
         },
         "identical_datasets": True,
     }
+    if parallel:
+        payload["trace_collection_parallel"] = {
+            "jobs": args.jobs,
+            "seconds": round(trace_par_s, 4),
+        }
+        payload["sweeps"]["batch_parallel"] = {
+            "jobs": args.jobs,
+            "seconds": round(par_s, 4),
+        }
     if scalar_s is not None:
+        payload["sweeps"]["batch"]["speedup_vs_scalar"] = round(
+            scalar_s / batch_s, 2
+        )
+        if parallel:
+            payload["sweeps"]["batch_parallel"]["speedup_vs_scalar"] = round(
+                scalar_s / par_s, 2
+            )
         payload["sweeps"]["scalar"] = {
             "jobs": 1,
             "seconds": round(scalar_s, 4),
         }
-        payload["sweeps"]["batch"]["speedup_vs_scalar"] = round(
-            scalar_s / batch_s, 2
-        )
-        payload["sweeps"]["batch_parallel"]["speedup_vs_scalar"] = round(
-            scalar_s / par_s, 2
-        )
         payload["points_per_second"]["scalar"] = round(
             n_points * len(traces) / scalar_s, 1
         )

@@ -26,6 +26,7 @@ from ..graphs.properties import bfs_levels
 from ..ocl.memory import AccessPattern, AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
+from ..util import unique_ids
 from .base import Application, expand_frontier
 
 __all__ = ["BFSTopo", "BFSWorklist", "BFSWorklistCautious", "BFSHybrid"]
@@ -71,7 +72,7 @@ class _BFSBase(Application):
         _, dsts, _ = expand_frontier(graph, frontier)
         level = state["level"]
         candidates = dsts[level[dsts] == _UNREACHED]
-        new = np.unique(candidates)
+        new = unique_ids(candidates, graph.n_nodes)
         level[new] = state["current"] + 1
         state["current"] += 1
         state["frontier"] = new

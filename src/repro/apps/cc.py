@@ -21,6 +21,7 @@ from ..graphs.csr import CSRGraph
 from ..ocl.memory import AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
+from ..util import unique_ids
 from .base import Application, expand_frontier
 
 __all__ = ["CCTopo", "CCWorklist"]
@@ -136,7 +137,7 @@ class CCWorklist(_CCBase):
         srcs, dsts, _ = expand_frontier(und, frontier)
         before = labels.copy()
         np.minimum.at(labels, dsts, before[srcs])
-        improved_nodes = np.unique(dsts[labels[dsts] != before[dsts]])
+        improved_nodes = unique_ids(dsts[labels[dsts] != before[dsts]], und.n_nodes)
         attempts = int(np.count_nonzero(before[srcs] < before[dsts]))
         wl.push(improved_nodes)
         pushes = wl.swap()

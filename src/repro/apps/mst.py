@@ -99,11 +99,18 @@ class MSTBoruvka(Application):
         srcs = und.edge_sources()
         dsts = und.col_idx
         canon = np.minimum(srcs, dsts) * und.n_nodes + np.maximum(srcs, dsts)
+        # Edges by (weight, canonical id, edge index): effective weights
+        # are unique, so each component's lightest edge is its min rank.
+        by_rank = np.lexsort((canon, und.weights))
+        rank = np.empty_like(by_rank)
+        rank[by_rank] = np.arange(by_rank.size)
         return {
             "und": und,
             "srcs": srcs,
             "dsts": dsts,
             "canon": canon,
+            "by_rank": by_rank,
+            "rank": rank,
             "component": np.arange(und.n_nodes, dtype=np.int64),
             "chosen": None,  # per-round selected edge index per component
             "mst_weight": 0.0,
@@ -131,14 +138,10 @@ class MSTBoruvka(Application):
         if external.size == 0:
             state["chosen"] = np.empty(0, dtype=np.int64)
             return StepResult(active_items=und.n_edges, edges=und.n_edges)
-        # Tie-break by canonical edge id so effective weights are unique.
-        order = np.lexsort(
-            (state["canon"][external], und.weights[external], comp_s[external])
-        )
-        ordered = external[order]
-        first = np.ones(ordered.size, dtype=bool)
-        first[1:] = comp_s[ordered[1:]] != comp_s[ordered[:-1]]
-        state["chosen"] = ordered[first]
+        # Each component's lightest external edge, in component order.
+        best = np.full(und.n_nodes, und.n_edges, dtype=np.int64)
+        np.minimum.at(best, comp_s[external], state["rank"][external])
+        state["chosen"] = state["by_rank"][best[best < und.n_edges]]
         return StepResult(
             active_items=und.n_edges,
             expanded_items=und.n_edges,
@@ -165,7 +168,6 @@ class MSTBoruvka(Application):
         parent[roots] = roots
         state["parent"] = parent
         # Accumulate each selected undirected edge once.
-        uniq = np.unique(state["canon"][chosen])
         canon_sorted = np.sort(state["canon"][chosen])
         keep_first = np.ones(canon_sorted.size, dtype=bool)
         keep_first[1:] = canon_sorted[1:] != canon_sorted[:-1]

@@ -26,6 +26,7 @@ from ..graphs.csr import CSRGraph
 from ..ocl.memory import AtomicOp
 from ..runtime.stats import StepResult, frontier_step_result
 from ..runtime.worklist import Worklist
+from ..util import unique_ids
 from .base import Application, expand_frontier
 
 __all__ = ["SSSPTopo", "SSSPWorklist", "SSSPNearFar", "dijkstra_reference"]
@@ -70,7 +71,7 @@ class _SSSPBase(Application):
         cand = dist[srcs] + wts
         before = dist.copy()
         np.minimum.at(dist, dsts, cand)
-        improved = np.unique(dsts[dist[dsts] < before[dsts]])
+        improved = unique_ids(dsts[dist[dsts] < before[dsts]], graph.n_nodes)
         attempts = int(np.count_nonzero(cand < before[dsts]))
         return dsts, improved, attempts
 

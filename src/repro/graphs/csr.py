@@ -7,7 +7,8 @@ edge, plus an optional parallel array of edge weights.
 
 The representation is immutable after construction; algorithms that
 mutate graph structure (e.g. Boruvka's MST contraction) build new
-arrays rather than editing in place.
+arrays rather than editing in place.  Immutability is what lets a graph
+memoise its undirected view (:meth:`CSRGraph.symmetrized`).
 """
 
 from __future__ import annotations
@@ -149,7 +150,17 @@ class CSRGraph:
         )
 
     def symmetrized(self) -> "CSRGraph":
-        """Return the graph with every edge mirrored (and deduplicated)."""
+        """Return the graph with every edge mirrored (and deduplicated).
+
+        Built once per graph and memoised on it: the arrays are
+        read-only, so the undirected view of a graph never changes.
+        """
+        sym = self.__dict__.get("_symmetrized")
+        if sym is None:
+            sym = self._symmetrized = self._build_symmetrized()
+        return sym
+
+    def _build_symmetrized(self) -> "CSRGraph":
         src = self.edge_sources()
         dst = self._col_idx
         all_src = np.concatenate([src, dst])
@@ -253,6 +264,12 @@ class CSRGraph:
             f"CSRGraph(name={self.name!r}, nodes={self.n_nodes}, "
             f"edges={self.n_edges}, {w})"
         )
+
+    def __getstate__(self) -> dict:
+        # The symmetrized() memo is derived state: pickle without it.
+        state = dict(self.__dict__)
+        state.pop("_symmetrized", None)
+        return state
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CSRGraph):

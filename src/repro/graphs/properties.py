@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..util import expand_segments
+from ..util import expand_segments, unique_ids
 from .csr import CSRGraph
 
 __all__ = [
@@ -47,7 +47,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
             break
         # Gather all out-neighbours of the frontier in one shot.
         neighbours = col_idx[expand_segments(starts, counts)]
-        fresh = np.unique(neighbours[levels[neighbours] < 0])
+        fresh = unique_ids(neighbours[levels[neighbours] < 0], graph.n_nodes)
         level += 1
         levels[fresh] = level
         frontier = fresh

@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ExecutionError
+from ..util import unique_ids
 
 __all__ = ["Worklist"]
 
@@ -52,8 +53,8 @@ class Worklist:
         of atomic tail bumps actually performed.
         """
         items = np.asarray(items, dtype=np.int64).ravel()
-        if deduplicate:
-            items = np.unique(items)
+        if deduplicate and items.size:
+            items = unique_ids(items, int(items.max()) + 1)
         self._next.append(items)
         n = int(items.size)
         self._pushes_this_iteration += n

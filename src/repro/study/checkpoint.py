@@ -20,7 +20,8 @@ Every file is written atomically (temp + rename) with a SHA-256
 checksum, so a crash can at worst lose the shard being written, never
 corrupt one already recorded; invalid shards found on resume are
 dropped and simply re-priced.  :func:`read_shard` is the one shard
-validator: resume and ``repro doctor`` both call it.
+validator and :func:`read_manifest` the one manifest validator: resume
+and ``repro doctor`` both call them.
 
 Older sweeps could also leave columnar ``shard-*.v3`` and
 ``chunk-*.v3`` files here.  They are never read: their cells are
@@ -45,7 +46,7 @@ from typing import Dict, List, Optional, Tuple
 from ..errors import CheckpointError
 from ..util import atomic_write_text, sha256_hex, stable_hash
 
-__all__ = ["StudyCheckpoint", "read_shard", "study_fingerprint"]
+__all__ = ["StudyCheckpoint", "read_manifest", "read_shard", "study_fingerprint"]
 
 #: Format tag of checkpoint manifests and shards.
 CHECKPOINT_FORMAT = "study-checkpoint-v1"
@@ -100,6 +101,32 @@ def read_shard(
     return rows, None
 
 
+def read_manifest(directory: str) -> Tuple[Optional[dict], Optional[str]]:
+    """``(manifest, None)`` for a valid manifest in ``directory``, else
+    ``(None, reason)``.
+
+    A valid manifest parses to an object carrying this build's format
+    tag.  A missing one is a reason too; :class:`StudyCheckpoint` tests
+    for the file first, since to it no manifest means a fresh start.
+    """
+    path = os.path.join(directory, StudyCheckpoint.MANIFEST)
+    if not os.path.exists(path):
+        return None, "no manifest.json (not a checkpoint, or never opened)"
+    try:
+        with open(path, encoding="utf-8") as f:
+            manifest = json.load(f)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return None, f"unreadable manifest.json ({exc})"
+    if not isinstance(manifest, dict):
+        return None, "manifest.json is not an object"
+    if manifest.get("format") != CHECKPOINT_FORMAT:
+        return None, (
+            f"unrecognised manifest format {manifest.get('format')!r} "
+            f"(expected {CHECKPOINT_FORMAT!r})"
+        )
+    return manifest, None
+
+
 def study_fingerprint(config, engine: str, traces: Dict[tuple, object]) -> str:
     """A stable identity for one study's pricing grid.
 
@@ -152,23 +179,11 @@ class StudyCheckpoint:
         )
 
     def _read_manifest(self):
-        try:
-            with open(self._manifest_path()) as f:
-                manifest = json.load(f)
-        except FileNotFoundError:
+        if not os.path.exists(self._manifest_path()):
             return None
-        except (OSError, json.JSONDecodeError) as exc:
-            raise CheckpointError(
-                f"unreadable checkpoint manifest in {self.directory!r}: {exc}"
-            ) from exc
-        if (
-            not isinstance(manifest, dict)
-            or manifest.get("format") != CHECKPOINT_FORMAT
-        ):
-            raise CheckpointError(
-                f"checkpoint {self.directory!r} has an unrecognised manifest "
-                f"format (expected {CHECKPOINT_FORMAT!r})"
-            )
+        manifest, problem = read_manifest(self.directory)
+        if manifest is None:
+            raise CheckpointError(f"checkpoint {self.directory!r}: {problem}")
         return manifest
 
     def open(

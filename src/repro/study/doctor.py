@@ -35,7 +35,6 @@ missing shards are re-priced.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -46,10 +45,10 @@ from ..errors import DatasetError, InvalidConfigError, ReportError
 from ..obs.report import REPORT_FORMAT, RunReport
 from .audit import audit_dataset
 from .checkpoint import (
-    CHECKPOINT_FORMAT,
     LEGACY_RE,
     SHARD_RE,
     StudyCheckpoint,
+    read_manifest,
     read_shard,
 )
 from .dataset import DATASET_FORMAT, PerfDataset, TestCase, peek_format
@@ -144,32 +143,12 @@ def _shard_ranges(tasks: List[Tuple[int, int]]) -> List[str]:
     return out
 
 
-def _read_raw_manifest(directory: str):
-    """(manifest dict or None, error message or None)."""
-    path = os.path.join(directory, StudyCheckpoint.MANIFEST)
-    if not os.path.exists(path):
-        return None, "no manifest.json (not a checkpoint, or never opened)"
-    try:
-        with open(path, encoding="utf-8") as f:
-            manifest = json.load(f)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        return None, f"unreadable manifest.json ({exc})"
-    if not isinstance(manifest, dict):
-        return None, "manifest.json is not an object"
-    if manifest.get("format") != CHECKPOINT_FORMAT:
-        return None, (
-            f"unrecognised manifest format {manifest.get('format')!r} "
-            f"(expected {CHECKPOINT_FORMAT!r})"
-        )
-    return manifest, None
-
-
 def diagnose_checkpoint(
     directory: str, expected_fingerprint: Optional[str] = None
 ) -> Diagnosis:
     """Audit one checkpoint directory."""
     diag = Diagnosis(directory, "checkpoint")
-    manifest, problem = _read_raw_manifest(directory)
+    manifest, problem = read_manifest(directory)
     if manifest is None:
         diag.add("error", "manifest", problem)
         diag.repair_plan.append(
@@ -317,7 +296,7 @@ def export_partial_dataset(directory: str) -> PerfDataset:
     by newer runs); raises :class:`~repro.errors.DatasetError` when the
     checkpoint is unusable or predates axis recording.
     """
-    manifest, problem = _read_raw_manifest(directory)
+    manifest, problem = read_manifest(directory)
     if manifest is None:
         raise DatasetError(f"cannot export from {directory!r}: {problem}")
     chips = manifest.get("chips")

@@ -11,11 +11,11 @@ Two pricing engines produce bit-identical datasets: the scalar
 reference path (:mod:`repro.perfmodel.simulate`, one launch record at
 a time) and the vectorized batch engine
 (:mod:`repro.perfmodel.batch`, all launches of a trace in whole-array
-NumPy ops with plan-keyed intermediate reuse).  The sweep can further
-be sharded over worker processes (``jobs``): the chip × configuration
-grid is split into *shards*, each worker prices its share against the
-same traces, and the partial datasets merge into the same table as a
-serial run.
+NumPy ops with plan-keyed intermediate reuse).  Both phases can run
+on worker processes (``jobs``): the (application, input) pairs are
+traced on one pool, and the chip × configuration grid is split into
+*shards*, each worker pricing its share against the same traces; the
+results merge in serial order into the same table as a serial run.
 
 The sweep is fault tolerant.  Completed shards can be checkpointed to
 disk as they finish (:mod:`repro.study.checkpoint`) so an interrupted
@@ -41,6 +41,7 @@ from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     ProcessPoolExecutor,
+    as_completed,
     wait,
 )
 from typing import Callable, Dict, List, Optional, Tuple
@@ -54,6 +55,7 @@ from ..compiler.pipeline import compile_cached, plan_cache
 from ..dsl.ast import Program
 from ..errors import CheckpointError, DatasetError
 from ..faults import FaultPlan
+from ..graphs.csr import CSRGraph
 from ..graphs.inputs import StudyInput, study_inputs
 from ..obs import NULL_RECORDER, Recorder, RunReport
 from ..perfmodel.batch import estimate_runtime_us_batch, measure_repeats_us_batch
@@ -89,6 +91,14 @@ class _ShardTimeout(BaseException):
         self.tasks = tasks
 
 
+#: One (application name, input name) pair of phase 1.
+Pair = Tuple[str, str]
+#: What tracing a pair needs: apps and graphs by name, source, faults.
+_TraceState = Tuple[
+    Dict[str, Application], Dict[str, CSRGraph], int, Optional[FaultPlan]
+]
+
+
 class StudyConfig:
     """Parameters of a study run (defaults reproduce the paper scope)."""
 
@@ -117,6 +127,9 @@ def collect_traces(
     config: StudyConfig,
     progress: Optional[Callable[[str], None]] = None,
     recorder=None,
+    *,
+    jobs: int = 1,
+    faults: Optional[FaultPlan] = None,
 ) -> Dict[tuple, Trace]:
     """Phase 1: run every (application, input) pair functionally.
 
@@ -124,27 +137,98 @@ def collect_traces(
     unweighted graph — are skipped, and each skip is reported through
     ``progress`` so a sweep's log accounts for every pair of the
     factorial.  ``recorder`` (a :class:`~repro.obs.Recorder`) counts
-    ``study.traces.collected`` / ``study.traces.skipped``.
+    ``study.traces.collected`` / ``study.traces.skipped`` and times
+    each pair as a ``study.trace`` span.
+
+    ``jobs > 1`` traces the pairs on a pool of worker processes; the
+    result is the same dict in the same (input, application) order, so
+    the dataset's row order and :func:`study_fingerprint` do not depend
+    on ``jobs``.  A pair whose worker raises or dies is traced again
+    in-process (``study.traces.fallback_inprocess``).  ``faults`` arms
+    the ``trace-<app>-<input>`` fault points.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be positive")
     rec = recorder if recorder is not None else NULL_RECORDER
-    traces: Dict[tuple, Trace] = {}
-    for inp in config.inputs.values():
-        graph = inp.graph
+    note = progress if progress is not None else (lambda message: None)
+    apps = {app.name: app for app in config.apps}
+    graphs = {inp.name: inp.graph for inp in config.inputs.values()}
+    pairs: List[Pair] = []
+    for input_name, graph in graphs.items():
         for app in config.apps:
             if app.requires_weights and not graph.has_weights:
                 rec.count("study.traces.skipped")
-                if progress:
-                    progress(
-                        f"skipping {app.name} on {inp.name}: requires edge "
-                        f"weights but graph is unweighted"
-                    )
+                note(
+                    f"skipping {app.name} on {input_name}: requires edge "
+                    f"weights but graph is unweighted"
+                )
+            else:
+                pairs.append((app.name, input_name))
+    state: _TraceState = (apps, graphs, config.source, faults)
+    if jobs == 1 or len(pairs) < 2:
+        traces = {}
+        for pair in pairs:
+            note(f"tracing {pair[0]} on {pair[1]}")
+            traces[pair] = _trace_pair(pair, state, rec)
+        return traces
+    traces = _trace_parallel(pairs, state, jobs, note, rec)
+    return {pair: traces[pair] for pair in pairs}
+
+
+def _trace_pair(pair: Pair, state: _TraceState, recorder) -> Trace:
+    """Run one (application, input) pair and return its trace."""
+    apps, graphs, source, faults = state
+    app_name, input_name = pair
+    if faults is not None:
+        faults.fire("error", f"trace-{app_name}-{input_name}")
+        faults.fire("crash", f"trace-{app_name}-{input_name}")
+    with recorder.span("study.trace", app=app_name, input=input_name):
+        trace = apps[app_name].run(graphs[input_name], source=source).trace
+    recorder.count("study.traces.collected")
+    return trace
+
+
+def _trace_parallel(
+    pairs: List[Pair], state: _TraceState, jobs: int, note, recorder
+) -> Dict[Pair, Trace]:
+    """Trace ``pairs`` on a worker pool; failed pairs run in-process.
+
+    The workers exit before this returns, so none of their memory is
+    held through pricing.  Results arrive in completion order.
+    """
+    traces: Dict[Pair, Trace] = {}
+    failed: Dict[Pair, Exception] = {}
+    pool = ProcessPoolExecutor(
+        max_workers=min(jobs, len(pairs)),
+        initializer=_init_trace_worker,
+        initargs=state + (recorder.enabled,),
+    )
+    try:
+        futures = {pool.submit(_trace_worker, pair): pair for pair in pairs}
+        for fut in as_completed(futures):
+            pair = futures[fut]
+            try:
+                trace, delta = fut.result()
+            except Exception as exc:  # raised in the worker, or it died
+                failed[pair] = exc
                 continue
-            if progress:
-                progress(f"tracing {app.name} on {inp.name}")
-            with rec.span("study.trace", app=app.name, input=inp.name):
-                result = app.run(graph, source=config.source)
-            rec.count("study.traces.collected")
-            traces[(app.name, inp.name)] = result.trace
+            if delta is not None:
+                recorder.merge(delta)
+            traces[pair] = trace
+            note(f"traced {pair[0]} on {pair[1]}")
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        raise
+    pool.shutdown()
+    # The recovery of last resort, so no fault injection here.
+    in_process = state[:3] + (None,)
+    for pair in (p for p in pairs if p in failed):
+        note(
+            f"tracing {pair[0]} on {pair[1]} in-process "
+            f"(worker failed: {failed[pair]})"
+        )
+        recorder.count("study.traces.fallback_inprocess")
+        traces[pair] = _trace_pair(pair, in_process, recorder)
     return traces
 
 
@@ -250,9 +334,11 @@ def _price_cell_impl(
 
 # Worker state is installed once per process by the pool initializer
 # rather than shipped with every task; a StudyConfig is never pickled
-# (its StudyInput builders are closures).
+# (its StudyInput builders are closures).  Trace workers get the apps
+# and the parent's built graphs; pricing workers get the traces.
 
 _WORKER_STATE: Optional[_State] = None
+_TRACE_STATE: Optional[_TraceState] = None
 _WORKER_FAULTS: Optional[FaultPlan] = None
 _WORKER_RECORDER = NULL_RECORDER
 
@@ -291,6 +377,29 @@ def _init_worker(
         _WORKER_RECORDER.count("study.traces.rebuilt")
     _WORKER_STATE = (programs, traces, chips, configs, repetitions, engine)
     _WORKER_FAULTS = faults
+
+
+def _init_trace_worker(
+    apps: Dict[str, Application],
+    graphs: Dict[str, CSRGraph],
+    source: int,
+    faults: Optional[FaultPlan],
+    metrics: bool,
+) -> None:
+    global _TRACE_STATE, _WORKER_RECORDER
+    _WORKER_RECORDER = Recorder() if metrics else NULL_RECORDER
+    _TRACE_STATE = (apps, graphs, source, faults)
+
+
+def _trace_worker(pair: Pair):
+    """Worker entry point: trace one pair from the installed state.
+
+    Returns ``(trace, obs_delta)``, the delta being the worker
+    recorder's drained snapshot (``None`` when metrics are disabled).
+    """
+    trace = _trace_pair(pair, _TRACE_STATE, _WORKER_RECORDER)
+    delta = _WORKER_RECORDER.drain() if _WORKER_RECORDER.enabled else None
+    return trace, delta
 
 
 def _price_cell(task: Task):
@@ -628,8 +737,9 @@ def run_study(
 
     ``engine`` selects the pricing path (``"batch"``, the vectorized
     default, or ``"scalar"``, the reference) and ``jobs`` the number of
-    worker processes sharding the chip × configuration grid; every
-    combination produces the identical dataset.  Precollected
+    worker processes tracing the (application, input) pairs and then
+    sharding the chip × configuration grid; every combination produces
+    the identical dataset.  Precollected
     ``traces`` (from :func:`collect_traces`) skip phase 1.
 
     ``checkpoint`` (a directory path or
@@ -674,7 +784,11 @@ def run_study(
             timer.tick()
 
         traces = collect_traces(
-            config, _note_trace if progress else None, recorder=rec
+            config,
+            _note_trace if progress else None,
+            recorder=rec,
+            jobs=jobs,
+            faults=faults,
         )
         timer.finish(f"collected {len(traces)} traces")
 
@@ -800,7 +914,8 @@ def main() -> None:  # pragma: no cover - CLI entry point
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the pricing sweep (default: 1)",
+        help="worker processes for trace collection and the pricing "
+        "sweep (default: 1)",
     )
     parser.add_argument(
         "--engine",

@@ -17,6 +17,7 @@ __all__ = [
     "geomean",
     "sha256_hex",
     "stable_hash",
+    "unique_ids",
 ]
 
 
@@ -70,6 +71,19 @@ def expand_segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=np.int64)
     seg_begin = np.repeat(np.cumsum(counts) - counts, counts)
     return np.arange(total, dtype=np.int64) - seg_begin + np.repeat(starts, counts)
+
+
+def unique_ids(ids: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct node ids of ``ids``, all of which lie in ``[0, n)``.
+
+    The same int64 array as ``np.unique(ids)``, built from a boolean
+    mask over the id range instead of a hash or sort — the frontier
+    dedupe of the data-driven applications, where ``n`` is the graph's
+    node count.
+    """
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    return np.flatnonzero(mask)
 
 
 def geomean(values: Iterable[float]) -> float:
